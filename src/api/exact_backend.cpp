@@ -39,8 +39,7 @@ class BranchBoundBackend final : public ExactBackend {
   BranchBoundBackend()
       : ExactBackend({.name = "branch-and-bound",
                       .summary = "pruned exact period search, any platform",
-                      .rank = 0,
-                      .bit_exact = true}) {}
+                      .rank = 0}) {}
 
   bool supports(const core::Problem&,
                 const SolveRequest& r) const override {
@@ -66,8 +65,7 @@ class EnumerationBackend final : public ExactBackend {
       : ExactBackend(
             {.name = "exact-enumeration",
              .summary = "exhaustive search, any objective/constraints/platform",
-             .rank = 10,
-             .bit_exact = true}) {}
+             .rank = 10}) {}
 
   bool supports(const core::Problem&, const SolveRequest&) const override {
     return true;
@@ -95,8 +93,7 @@ class MipBackend final : public ExactBackend {
       : ExactBackend({.name = "mip-branch-cut",
                       .summary = "independent MIP formulation, "
                                  "branch-and-cut over the LP relaxation",
-                      .rank = 20,
-                      .bit_exact = true}) {}
+                      .rank = 20}) {}
 
   bool supports(const core::Problem&, const SolveRequest&) const override {
     return true;
@@ -123,8 +120,6 @@ const std::vector<const ExactBackend*>& exact_backends() {
     list->push_back(new BranchBoundBackend());
     list->push_back(new EnumerationBackend());
     list->push_back(new MipBackend());
-    if (std::unique_ptr<ExactBackend> ortools = detail::make_ortools_backend())
-      list->push_back(ortools.release());
     return list;
   }();
   return backends;

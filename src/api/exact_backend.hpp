@@ -21,13 +21,14 @@
 ///   mip-branch-cut     rank 20  independent MIP formulation over an LP
 ///                               relaxation (exact/mip/) — the structurally
 ///                               independent oracle
-/// Optional backends appear when compiled in (`PIPEOPT_WITH_ORTOOLS` adds
-/// ortools-cpsat at rank 30). Ranks above 10 are never auto-dispatched —
-/// exact-enumeration accepts every request first — so adding a backend
-/// never changes which solver an unforced request runs; they are reached
-/// via `SolveRequest::solver` forcing (CLI: `solve --solver <name>`).
+/// Every backend returns the bit-exact optimum of `core::evaluate`
+/// arithmetic, so the cross-check harness compares them by bits. Ranks
+/// above 10 are never auto-dispatched — exact-enumeration accepts every
+/// request first — so adding a backend never changes which solver an
+/// unforced request runs; they are reached via `SolveRequest::solver`
+/// forcing (CLI: `solve --solver <name>`).
 
-#include <memory>
+#include <utility>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -44,11 +45,6 @@ struct ExactBackendInfo {
   std::string name;     ///< registry solver name ("mip-branch-cut", ...)
   std::string summary;  ///< one-line description for list-solvers
   int rank = 0;         ///< dispatch rank within CostTier::Exact
-  /// True when the backend returns the bit-exact optimum of
-  /// `core::evaluate` arithmetic. Backends that solve a scaled or rounded
-  /// model (e.g. CP-SAT's integer arithmetic) set this false, and the
-  /// cross-check harness compares them within tolerance instead of by bits.
-  bool bit_exact = true;
 };
 
 /// One exact engine behind the seam. Implementations must be stateless
@@ -70,7 +66,7 @@ class ExactBackend {
 
   /// Solves to proven optimality. Returns std::nullopt when no feasible
   /// mapping exists. The returned mapping must re-evaluate (via
-  /// `core::evaluate`) to `value` for bit-exact backends.
+  /// `core::evaluate`) to `value` bit for bit.
   /// \throws exact::SearchLimitExceeded past request.node_budget,
   ///         exact::SearchCancelled on a fired cancel token.
   [[nodiscard]] virtual std::optional<exact::ExactResult> minimize(
@@ -87,12 +83,5 @@ class ExactBackend {
 
 /// Backend by registry name, or nullptr.
 [[nodiscard]] const ExactBackend* find_exact_backend(std::string_view name);
-
-namespace detail {
-/// Defined in backends_ortools.cpp: the CP-SAT backend when the build has
-/// OR-tools (`PIPEOPT_WITH_ORTOOLS`), nullptr otherwise — so the registry
-/// code links identically either way.
-[[nodiscard]] std::unique_ptr<ExactBackend> make_ortools_backend();
-}  // namespace detail
 
 }  // namespace pipeopt::api

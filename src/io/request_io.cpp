@@ -1,5 +1,6 @@
 #include "io/request_io.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -215,6 +216,11 @@ WireSolveRequest parse_solve_request(const JsonFields& fields,
     }
   }
   return reader.finish();
+}
+
+bool names_a_path(const JsonFields& fields) {
+  return std::any_of(fields.begin(), fields.end(),
+                     [](const auto& field) { return field.first == "path"; });
 }
 
 WireSolveRequest parse_solve_request_line(const std::string& line,

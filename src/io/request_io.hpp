@@ -60,6 +60,11 @@ struct WireSolveRequest {
     const JsonFields& fields, std::size_t line_no = 1,
     const std::string& base_dir = {});
 
+/// True when the request names its instance by `path`, a file local to
+/// whoever parses it. Network sessions refuse such lines unread; the CLI,
+/// `--stdio` and manifests load them.
+[[nodiscard]] bool names_a_path(const JsonFields& fields);
+
 /// `parse_flat_json` + `parse_solve_request`.
 [[nodiscard]] WireSolveRequest parse_solve_request_line(
     const std::string& line, std::size_t line_no = 1,

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <stdexcept>
 #include <thread>
 
 namespace pipeopt::net {
@@ -84,6 +85,17 @@ std::optional<FaultSpec> parse_fault_spec(const std::string& text) {
     if (!known) return std::nullopt;
   }
   return spec;
+}
+
+std::unique_ptr<FaultInjector> make_fault_injector(const std::string& owner,
+                                                   const std::string& spec) {
+  if (spec.empty()) return nullptr;
+  const auto parsed = parse_fault_spec(spec);
+  if (!parsed) {
+    throw std::runtime_error(owner + ": bad --fault-spec '" + spec +
+                             "' (want seed:prob:kind[,kind...])");
+  }
+  return std::make_unique<FaultInjector>(*parsed);
 }
 
 FaultInjector::FaultInjector(FaultSpec spec) : spec_(spec) {

@@ -30,6 +30,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -126,5 +127,11 @@ class FaultInjector {
   util::IoHooks front_io_;
   util::IoHooks relay_io_;
 };
+
+/// The injector behind a `--fault-spec` flag: nullptr for an empty spec.
+/// \throws std::runtime_error "<owner>: bad --fault-spec '<spec>' ..." on
+/// malformed input.
+[[nodiscard]] std::unique_ptr<FaultInjector> make_fault_injector(
+    const std::string& owner, const std::string& spec);
 
 }  // namespace pipeopt::net

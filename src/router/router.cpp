@@ -3,7 +3,6 @@
 #include <csignal>
 #include <fcntl.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -25,31 +24,11 @@ namespace pipeopt::router {
 
 namespace {
 
-/// How often an in-flight forward's session polls for client disconnect,
-/// and how often a slot waiter rechecks the fleet.
-constexpr auto kWatchInterval = std::chrono::milliseconds(10);
+/// How often a slot waiter rechecks the fleet.
 constexpr auto kSlotWaitInterval = std::chrono::milliseconds(50);
 /// How long a spawned child gets to announce its port before the spawn
 /// counts as failed (solver registration is cheap; this is pure margin).
 constexpr auto kSpawnDeadline = std::chrono::seconds(10);
-
-#ifdef POLLRDHUP
-constexpr short kHupEvents = POLLRDHUP | POLLHUP | POLLERR;
-#else
-constexpr short kHupEvents = POLLHUP | POLLERR;
-#endif
-
-/// Signal-handler target of install_signal_handlers (same pattern as the
-/// server: one byte into the wake pipe, the poll loop does the shutdown).
-std::atomic<int> g_signal_wake_fd{-1};
-
-void signal_to_pipe(int) {
-  const int fd = g_signal_wake_fd.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
-  }
-}
 
 using util::FdLineReader;
 using util::write_line;
@@ -66,27 +45,10 @@ std::string response_type(const std::string& line) {
   return line.substr(kPrefixLen, end - kPrefixLen);
 }
 
-enum class ClientProbe { Idle, Gone, Busy };
-
-/// One non-blocking look at the client connection while its response is
-/// pending elsewhere — the server's await_with_watch probe, shared
-/// semantics: orderly EOF or reset = Gone, pipelined input = Busy
-/// (demonstrably alive; stop probing, the bytes are a request).
-ClientProbe probe_client(int fd) {
-  pollfd probe{fd, static_cast<short>(POLLIN | kHupEvents), 0};
-  if (::poll(&probe, 1, 0) <= 0) return ClientProbe::Idle;
-  if (probe.revents & POLLIN) {
-    char byte;
-    const ssize_t n = ::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
-    if (n == 0) return ClientProbe::Gone;
-    if (n > 0) return ClientProbe::Busy;
-    if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-      return ClientProbe::Gone;
-    }
-    return ClientProbe::Idle;
-  }
-  if (probe.revents & kHupEvents) return ClientProbe::Gone;
-  return ClientProbe::Idle;
+std::size_t shards_up(const std::vector<ShardInfo>& fleet) {
+  return static_cast<std::size_t>(
+      std::count_if(fleet.begin(), fleet.end(),
+                    [](const ShardInfo& shard) { return shard.healthy; }));
 }
 
 std::size_t line_hash(const std::string& text) {
@@ -106,7 +68,10 @@ std::string splice_trace(const std::string& line, const std::string& id) {
 
 Router::Router(RouterOptions options)
     : options_(std::move(options)),
-      started_(std::chrono::steady_clock::now()) {
+      started_(std::chrono::steady_clock::now()),
+      fault_(net::make_fault_injector("pipeopt-router", options_.fault_spec)),
+      host_("pipeopt-router", fault_.get(),
+            [this](int client) { session_loop(client); }) {
   const bool endpoint_mode = !options_.shards.empty();
   const bool spawn_mode = options_.spawn > 0;
   if (endpoint_mode == spawn_mode) {
@@ -120,14 +85,7 @@ Router::Router(RouterOptions options)
     throw std::runtime_error(
         "pipeopt-router: breaker threshold/close-successes must be positive");
   }
-  if (!options_.fault_spec.empty()) {
-    const auto spec = net::parse_fault_spec(options_.fault_spec);
-    if (!spec) {
-      throw std::runtime_error("pipeopt-router: bad --fault-spec '" +
-                               options_.fault_spec +
-                               "' (want seed:prob:kind[,kind...])");
-    }
-    fault_ = std::make_unique<net::FaultInjector>(*spec);
+  if (fault_) {
     front_hooks_ = &fault_->front_io();
     relay_hooks_ = &fault_->relay_io();
   }
@@ -150,19 +108,11 @@ Router::Router(RouterOptions options)
   if (!options_.trace_log.empty()) {
     trace_log_ = std::make_unique<obs::TraceLog>(options_.trace_log);
   }
-  if (::pipe2(wake_pipe_, O_CLOEXEC) != 0) {
-    throw std::runtime_error("pipeopt-router: cannot create wake pipe");
-  }
 }
 
 Router::~Router() {
-  shutdown();
-  reap_sessions(/*all=*/true);
   stop_health_thread();
   terminate_children();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
 }
 
 std::size_t Router::shard_count() const noexcept { return shards_.size(); }
@@ -195,106 +145,37 @@ std::uint64_t Router::down_transitions() const {
 }
 
 std::uint16_t Router::listen() {
-  if (listen_fd_ >= 0) return port_;
-  const net::Listener listener = net::listen_tcp(
-      "pipeopt-router", options_.host, options_.port, options_.backlog);
-  listen_fd_ = listener.fd;
-  port_ = listener.port;
-
+  if (host_.port() != 0) return host_.port();
+  const std::uint16_t port =
+      host_.listen(options_.host, options_.port, options_.backlog);
   // Spawn before serving: a front tier with no backend would shed every
   // request of its first clients for one health interval.
   if (options_.spawn > 0) {
     for (std::size_t i = 0; i < shards_.size(); ++i) spawn_shard(i);
   }
   health_thread_ = std::thread([this] { health_loop(); });
-  return port_;
+  return port;
 }
 
 void Router::serve() {
   listen();
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents != 0) break;  // shutdown() or a signal woke us
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int client = net::accept_tcp(listen_fd_);
-    if (client < 0) continue;
-    if (fault_ && fault_->accept_should_close()) {
-      // Injected accept-then-close: the client sees its connection die
-      // before a byte moves, so a retry is always safe.
-      ::close(client);
-      continue;
-    }
-    auto session = std::make_unique<Session>();
-    Session* raw = session.get();
-    raw->fd = client;
-    raw->conns.resize(shards_.size());
-    raw->thread = std::thread([this, raw] { session_loop(raw); });
-    {
-      const std::lock_guard<std::mutex> lock(sessions_mutex_);
-      sessions_.push_back(std::move(session));
-    }
-    reap_sessions(/*all=*/false);
-  }
-  // Drain in dependency order: refuse new connections, half-close the
-  // sessions so no further requests are read, let the in-flight forwards
-  // finish and flush — and only then take the shard fleet down, so every
+  // Drain in dependency order: the host lets every in-flight forward
+  // finish and flush, and only then does the shard fleet go down, so every
   // accepted request that can complete does.
-  stopping_.store(true, std::memory_order_relaxed);
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    for (const auto& session : sessions_) {
-      if (session->fd >= 0) ::shutdown(session->fd, SHUT_RD);
-    }
-  }
-  reap_sessions(/*all=*/true);
+  host_.serve();
   stop_health_thread();
   terminate_children();
 }
 
-void Router::shutdown() {
-  stopping_.store(true, std::memory_order_relaxed);
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-}
+void Router::shutdown() { host_.shutdown(); }
 
 void Router::install_signal_handlers(Router& router) {
-  g_signal_wake_fd.store(router.wake_pipe_[1], std::memory_order_relaxed);
-  struct sigaction action{};
-  action.sa_handler = signal_to_pipe;
-  ::sigaction(SIGINT, &action, nullptr);
-  ::sigaction(SIGTERM, &action, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);
+  router.host_.install_signal_handlers();
 }
 
-void Router::reap_sessions(bool all) {
-  std::vector<std::unique_ptr<Session>> finished;
-  {
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-      if (all || (*it)->done.load(std::memory_order_acquire)) {
-        finished.push_back(std::move(*it));
-        it = sessions_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (const auto& session : finished) {
-    if (session->thread.joinable()) session->thread.join();
-  }
-}
-
-void Router::session_loop(Session* session) {
-  FdLineReader reader(session->fd, front_hooks_);
+void Router::session_loop(int client) {
+  std::vector<ShardConn> conns(shards_.size());
+  FdLineReader reader(client, front_hooks_);
   std::string line;
   while (reader.next_line(line)) {
     // A client stream that dies mid-line left a torn prefix, not a
@@ -302,30 +183,23 @@ void Router::session_loop(Session* session) {
     // client never finished sending).
     if (!reader.last_terminated()) break;
     if (line.empty() || line == "\r") continue;
-    if (handle_line(line, *session, reader.buffered()) == Relay::ClientGone) {
+    if (handle_line(line, client, conns, reader.buffered()) ==
+        Relay::ClientGone) {
       break;
     }
-    if (stopping_.load(std::memory_order_relaxed)) break;
+    if (host_.stopping()) break;
   }
-  // Closing the shard connections first propagates the disconnect: a shard
-  // still computing for this client sees its own session vanish and
-  // cancels, exactly as if the client had connected to it directly.
-  for (ShardConn& conn : session->conns) {
-    if (conn.fd >= 0) {
-      ::close(conn.fd);
-      conn.fd = -1;
-      conn.reader.reset();
-    }
+  // Closing the shard connections before the host closes the client
+  // propagates the disconnect: a shard still computing for this client
+  // sees its own session vanish and cancels, exactly as if the client had
+  // connected to it directly.
+  for (const ShardConn& conn : conns) {
+    if (conn.fd >= 0) ::close(conn.fd);
   }
-  {
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    ::close(session->fd);
-    session->fd = -1;
-  }
-  session->done.store(true, std::memory_order_release);
 }
 
-Router::Relay Router::handle_line(const std::string& line, Session& session,
+Router::Relay Router::handle_line(const std::string& line, int client,
+                                  std::vector<ShardConn>& conns,
                                   bool input_buffered) {
   // Zero point of the request's relative deadline: the moment its line
   // arrived (time spent in backpressure waits or retry backoff counts
@@ -354,39 +228,40 @@ Router::Relay Router::handle_line(const std::string& line, Session& session,
     io::FlatJsonWriter out;
     out.field("type", "pong");
     if (!id.empty()) out.field("id", id);
-    return send_front(session.fd, std::move(out).str()) ? Relay::Done
-                                                        : Relay::ClientGone;
+    return send_front(client, std::move(out).str()) ? Relay::Done
+                                                    : Relay::ClientGone;
   }
   if (parsed && type == "health") {
-    answer_health(id, session.fd);
+    answer_health(id, client);
     return Relay::Done;
   }
   if (parsed && type == "stats") {
-    answer_stats(id, session.fd);
+    answer_stats(id, client);
     return Relay::Done;
   }
   if (parsed && type == "metrics") {
-    answer_metrics(id, session.fd);
+    answer_metrics(id, client);
     return Relay::Done;
   }
 
   // The routing key: canonical request bytes where the line parses (so
   // wire-presentation differences — field order, whitespace, an `id` —
   // cannot split byte-equivalent work across shards), raw bytes otherwise
-  // (identical garbage still lands on one shard).
+  // (identical garbage still lands on one shard). A line naming a `path`
+  // hashes its raw bytes too: the router never opens the file, and the
+  // shard's refusal is the answer.
   std::size_t key_hash = line_hash(line);
-  bool streamed = false;
-  if (parsed && type == "solve") {
+  const bool streamed = parsed && type == "pareto";
+  if (parsed && !io::names_a_path(fields)) {
     try {
-      const io::WireSolveRequest wire = io::parse_solve_request(fields);
-      key_hash = line_hash(io::format_solve_key(wire.problem, wire.request));
-    } catch (const std::exception&) {
-    }
-  } else if (parsed && type == "pareto") {
-    streamed = true;
-    try {
-      const io::WireParetoRequest wire = io::parse_pareto_request(fields);
-      key_hash = line_hash(io::format_pareto_request(wire.problem, wire.request));
+      if (type == "solve") {
+        const io::WireSolveRequest wire = io::parse_solve_request(fields);
+        key_hash = line_hash(io::format_solve_key(wire.problem, wire.request));
+      } else if (streamed) {
+        const io::WireParetoRequest wire = io::parse_pareto_request(fields);
+        key_hash =
+            line_hash(io::format_pareto_request(wire.problem, wire.request));
+      }
     } catch (const std::exception&) {
     }
   }
@@ -408,15 +283,15 @@ Router::Relay Router::handle_line(const std::string& line, Session& session,
     const util::Stopwatch watch;
     const Relay relay =
         forward_line(splice ? splice_trace(line, trace.id()) : line, id,
-                     streamed, key_hash, session, input_buffered, deadline_ms,
-                     arrival);
+                     streamed, key_hash, client, conns, input_buffered,
+                     deadline_ms, arrival);
     const auto total_us = static_cast<std::uint64_t>(watch.elapsed_micros());
     trace.record("relay", total_us);
     trace_log_->write(trace, type, id, total_us);
     return relay;
   }
   const util::Stopwatch watch;
-  const Relay relay = forward_line(line, id, streamed, key_hash, session,
+  const Relay relay = forward_line(line, id, streamed, key_hash, client, conns,
                                    input_buffered, deadline_ms, arrival);
   if (traceable) {
     metrics_.histogram("phase.relay")
@@ -471,10 +346,10 @@ Router::Admit Router::acquire_slot(std::size_t key_hash,
     state_changed_.wait_for(lock, kSlotWaitInterval);
     if (watching) {
       lock.unlock();
-      const ClientProbe probe = probe_client(client_fd);
+      const net::Peer peer = host_.watch(client_fd);
       lock.lock();
-      if (probe == ClientProbe::Gone) return Admit::ClientGone;
-      if (probe == ClientProbe::Busy) watching = false;
+      if (peer == net::Peer::Gone) return Admit::ClientGone;
+      if (peer == net::Peer::Busy) watching = false;
     }
   }
 }
@@ -573,8 +448,7 @@ void Router::record_success(std::size_t shard_index) {
   if (flipped) state_changed_.notify_all();
 }
 
-bool Router::ensure_conn(Session& session, std::size_t shard_index) {
-  ShardConn& conn = session.conns[shard_index];
+bool Router::ensure_conn(ShardConn& conn, std::size_t shard_index) {
   if (conn.fd >= 0) return true;
   std::string host;
   std::uint16_t port = 0;
@@ -598,7 +472,8 @@ bool Router::send_front(int fd, std::string line) const {
 
 Router::Relay Router::forward_line(const std::string& line,
                                    const std::string& id, bool streamed,
-                                   std::size_t key_hash, Session& session,
+                                   std::size_t key_hash, int client,
+                                   std::vector<ShardConn>& conns,
                                    bool input_buffered,
                                    std::uint64_t deadline_ms,
                                    const util::Stopwatch& arrival) {
@@ -625,7 +500,7 @@ Router::Relay Router::forward_line(const std::string& line,
   const auto respond_error = [&](const std::string& code,
                                  const std::string& message) {
     ++shed_;
-    return send_front(session.fd, io::format_error(message, id, code))
+    return send_front(client, io::format_error(message, id, code))
                ? Relay::Done
                : Relay::ClientGone;
   };
@@ -644,7 +519,7 @@ Router::Relay Router::forward_line(const std::string& line,
   };
   for (;;) {
     std::size_t shard = 0;
-    switch (acquire_slot(key_hash, shard, session.fd, !input_buffered, tried,
+    switch (acquire_slot(key_hash, shard, client, !input_buffered, tried,
                          deadline_ms, arrival)) {
       case Admit::Overloaded:
         return respond_error("overloaded",
@@ -665,7 +540,7 @@ Router::Relay Router::forward_line(const std::string& line,
       case Admit::Expired:
         ++shed_expired_;
         metrics_.counter("shed_expired").add(1);
-        return send_front(session.fd,
+        return send_front(client,
                           io::format_error("deadline expired before dispatch",
                                            id, "expired"))
                    ? Relay::Done
@@ -679,14 +554,14 @@ Router::Relay Router::forward_line(const std::string& line,
     // A connection that existed before this attempt may be stale (the
     // shard restarted since); its failure earns one retry on a fresh
     // connection to the SAME shard before the shard takes a strike.
-    const bool reused = session.conns[shard].fd >= 0;
-    const auto drop_conn = [&] {
-      ShardConn& conn = session.conns[shard];
+    ShardConn& conn = conns[shard];
+    const bool reused = conn.fd >= 0;
+    const auto drop_conn = [&conn] {
       if (conn.fd >= 0) ::close(conn.fd);
       conn.fd = -1;
       conn.reader.reset();
     };
-    if (!ensure_conn(session, shard)) {
+    if (!ensure_conn(conn, shard)) {
       release_slot(shard);
       record_failure(shard);
       tried[shard] = true;
@@ -695,7 +570,6 @@ Router::Relay Router::forward_line(const std::string& line,
       }
       continue;
     }
-    ShardConn& conn = session.conns[shard];
 
     bool shard_dead = !write_line(conn.fd, line, relay_hooks_);
     bool relayed_bytes = false;
@@ -707,21 +581,21 @@ Router::Relay Router::forward_line(const std::string& line,
       // which cancels the in-flight work shard-side.
       for (;;) {
         if (conn.reader->buffered()) break;
-        pollfd probe{conn.fd, static_cast<short>(POLLIN | kHupEvents), 0};
+        pollfd probe{conn.fd, POLLIN, 0};
         const int ready =
-            ::poll(&probe, 1, static_cast<int>(kWatchInterval.count()));
+            ::poll(&probe, 1, static_cast<int>(net::kWatchInterval.count()));
         if (ready > 0) break;
         if (ready < 0 && errno != EINTR) break;
         if (watching) {
-          switch (probe_client(session.fd)) {
-            case ClientProbe::Gone:
+          switch (host_.watch(client)) {
+            case net::Peer::Gone:
               drop_conn();
               release_slot(shard);
               return Relay::ClientGone;
-            case ClientProbe::Busy:
+            case net::Peer::Busy:
               watching = false;
               break;
-            case ClientProbe::Idle:
+            case net::Peer::Idle:
               break;
           }
         }
@@ -732,7 +606,7 @@ Router::Relay Router::forward_line(const std::string& line,
         shard_dead = true;
         break;
       }
-      if (!send_front(session.fd, response)) {
+      if (!send_front(client, response)) {
         drop_conn();  // mid-response client loss: cancel shard-side too
         release_slot(shard);
         return Relay::ClientGone;
@@ -757,7 +631,7 @@ Router::Relay Router::forward_line(const std::string& line,
     if (relayed_bytes) {
       record_failure(shard);
       ++shard_lost_errors_;
-      return send_front(session.fd,
+      return send_front(client,
                         io::format_error("shard connection lost mid-response",
                                          id, "shard-lost"))
                  ? Relay::Done
@@ -777,48 +651,55 @@ Router::Relay Router::forward_line(const std::string& line,
   }
 }
 
+std::optional<std::string> Router::ask_shard(const std::string& host,
+                                             std::uint16_t port,
+                                             const std::string& type) const {
+  const int fd = net::connect_tcp(host, port, options_.probe_timeout);
+  if (fd < 0) return std::nullopt;
+  std::optional<std::string> answer;
+  if (write_line(fd, "{\"type\":\"" + type + "\"}")) {
+    FdLineReader reader(fd);
+    std::string line;
+    // A torn line (no terminator) is no answer: it would poison a merge.
+    if (reader.next_line(line) && reader.last_terminated() &&
+        response_type(line) == type) {
+      answer = std::move(line);
+    }
+  }
+  ::close(fd);
+  return answer;
+}
+
+std::vector<std::string> Router::fan_out(const std::vector<ShardInfo>& fleet,
+                                         const std::string& type) const {
+  // Short-lived probe connections, not a session's cached ones: a down
+  // shard must not stall the merge, and the probe timeout bounds each leg.
+  std::vector<std::string> lines;
+  for (const ShardInfo& shard : fleet) {
+    if (!shard.healthy) continue;
+    if (auto line = ask_shard(shard.host, shard.port, type)) {
+      lines.push_back(std::move(*line));
+    }
+  }
+  return lines;
+}
+
 void Router::answer_metrics(const std::string& id, int out_fd) {
-  // Same fan-out shape as answer_stats, but the merge goes through
+  // Same fan-out as answer_stats, but the merge goes through
   // obs::merge_metrics_fields: derived quantile fields are stripped from
   // every shard snapshot, the summable counter/bucket fields sum, and the
   // fleet quantiles are re-derived from the merged buckets — a merging
   // tier never averages two medians. The router's own snapshot goes first
   // so its `phase.relay` fields lead the merged block.
-  struct Liveness {
-    bool up;
-    std::size_t in_flight;
-    BreakerState breaker;
-  };
-  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
-  std::size_t up = 0;
-  std::vector<Liveness> liveness;
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    for (const auto& shard : shards_) {
-      liveness.push_back(
-          Liveness{shard->healthy, shard->in_flight, shard->breaker});
-      if (!shard->healthy) continue;
-      ++up;
-      endpoints.emplace_back(shard->host, shard->port);
-    }
-  }
+  const std::vector<ShardInfo> fleet = shard_infos();
   std::vector<obs::MetricFields> snapshots;
   snapshots.push_back(metrics_.snapshot());
-  for (const auto& [host, port] : endpoints) {
-    const int fd = net::connect_tcp(host, port, options_.probe_timeout);
-    if (fd < 0) continue;
-    if (write_line(fd, "{\"type\":\"metrics\"}")) {
-      FdLineReader reader(fd);
-      std::string response;
-      if (reader.next_line(response) && response_type(response) == "metrics") {
-        try {
-          snapshots.push_back(io::parse_flat_json(response));
-        } catch (const io::ParseError&) {
-          // A torn shard line must not kill the whole answer.
-        }
-      }
+  for (const std::string& line : fan_out(fleet, "metrics")) {
+    try {
+      snapshots.push_back(io::parse_flat_json(line));
+    } catch (const io::ParseError&) {
+      // A malformed shard line must not kill the whole answer.
     }
-    ::close(fd);
   }
   obs::MetricFields merged;
   try {
@@ -830,14 +711,14 @@ void Router::answer_metrics(const std::string& id, int out_fd) {
   io::FlatJsonWriter out;
   out.field("type", "metrics");
   if (!id.empty()) out.field("id", id);
-  out.field("shards", std::to_string(shards_.size()));
-  out.field("shards_up", std::to_string(up));
-  for (std::size_t i = 0; i < liveness.size(); ++i) {
+  out.field("shards", std::to_string(fleet.size()));
+  out.field("shards_up", std::to_string(shards_up(fleet)));
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
     const std::string prefix = "shard." + std::to_string(i) + ".";
-    out.field(prefix + "up", liveness[i].up ? "1" : "0");
-    out.field(prefix + "in_flight", std::to_string(liveness[i].in_flight));
+    out.field(prefix + "up", fleet[i].healthy ? "1" : "0");
+    out.field(prefix + "in_flight", std::to_string(fleet[i].in_flight));
     out.field(prefix + "breaker_state",
-              std::to_string(static_cast<int>(liveness[i].breaker)));
+              std::to_string(static_cast<int>(fleet[i].breaker)));
   }
   for (const auto& [key, value] : merged) out.field(key, value);
   send_front(out_fd, std::move(out).str());
@@ -847,65 +728,34 @@ void Router::answer_health(const std::string& id, int out_fd) {
   const double uptime = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - started_)
                             .count();
-  std::size_t up = 0;
+  const std::vector<ShardInfo> fleet = shard_infos();
   std::size_t in_flight = 0;
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    for (const auto& shard : shards_) {
-      if (shard->healthy) ++up;
-      in_flight += shard->in_flight;
-    }
-  }
+  for (const ShardInfo& shard : fleet) in_flight += shard.in_flight;
   io::FlatJsonWriter out;
   out.field("type", "health");
   if (!id.empty()) out.field("id", id);
   out.field("pid", std::to_string(::getpid()));
   out.field("uptime_s", io::format_double_exact(uptime));
   out.field("in_flight", std::to_string(in_flight));
-  out.field("shards", std::to_string(shards_.size()));
-  out.field("shards_up", std::to_string(up));
+  out.field("shards", std::to_string(fleet.size()));
+  out.field("shards_up", std::to_string(shards_up(fleet)));
   send_front(out_fd, std::move(out).str());
 }
 
 void Router::answer_stats(const std::string& id, int out_fd) {
-  // Fan out to the healthy shards over short-lived probe connections (the
-  // session's cached connections would work too, but a down shard must
-  // not stall the merge — the probe timeout bounds each leg).
-  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
-  std::size_t up = 0;
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    for (const auto& shard : shards_) {
-      if (!shard->healthy) continue;
-      ++up;
-      endpoints.emplace_back(shard->host, shard->port);
-    }
-  }
-  std::vector<std::string> lines;
-  for (const auto& [host, port] : endpoints) {
-    const int fd = net::connect_tcp(host, port, options_.probe_timeout);
-    if (fd < 0) continue;
-    if (write_line(fd, "{\"type\":\"stats\"}")) {
-      FdLineReader reader(fd);
-      std::string response;
-      if (reader.next_line(response) && response_type(response) == "stats") {
-        lines.push_back(std::move(response));
-      }
-    }
-    ::close(fd);
-  }
+  const std::vector<ShardInfo> fleet = shard_infos();
   io::JsonFields merged;
   try {
-    merged = io::merge_stats_lines(lines);
+    merged = io::merge_stats_lines(fan_out(fleet, "stats"));
   } catch (const std::exception&) {
-    merged.clear();  // a torn shard line must not kill the whole answer
+    merged.clear();  // a malformed shard line must not kill the whole answer
   }
 
   io::FlatJsonWriter out;
   out.field("type", "stats");
   if (!id.empty()) out.field("id", id);
-  out.field("shards", std::to_string(shards_.size()));
-  out.field("shards_up", std::to_string(up));
+  out.field("shards", std::to_string(fleet.size()));
+  out.field("shards_up", std::to_string(shards_up(fleet)));
   out.field("routed", std::to_string(routed_.load()));
   out.field("shed", std::to_string(shed_.load()));
   out.field("shed_expired", std::to_string(shed_expired_.load()));
@@ -989,23 +839,12 @@ void Router::check_shards() {
         shard.breaker = BreakerState::HalfOpen;
       }
     }
-    // The probe: connect, ping `{"type":"health"}`, expect the typed
-    // answer within the probe timeout. The health handler is constant-time
-    // server-side, so a timeout means wedged, not busy. Probes use plain
-    // (un-hooked) IO on purpose: fault campaigns stay deterministic per
-    // request stream, and breaker state reflects the shard, not the shim.
-    bool alive = false;
-    const int fd = net::connect_tcp(host, port, options_.probe_timeout);
-    if (fd >= 0) {
-      if (write_line(fd, "{\"type\":\"health\"}")) {
-        FdLineReader reader(fd);
-        std::string response;
-        alive = reader.next_line(response) && reader.last_terminated() &&
-                response_type(response) == "health";
-      }
-      ::close(fd);
-    }
-    if (alive) {
+    // The probe: `{"type":"health"}`, answered typed within the probe
+    // timeout. The health handler is constant-time server-side, so a
+    // timeout means wedged, not busy. Probes use plain (un-hooked) IO on
+    // purpose: fault campaigns stay deterministic per request stream, and
+    // breaker state reflects the shard, not the shim.
+    if (ask_shard(host, port, "health")) {
       record_success(i);
     } else {
       record_failure(i);

@@ -41,6 +41,8 @@
 /// cache-enabled shards behaves like one big cache with no invalidation
 /// protocol. An unparseable line hashes its raw bytes and is forwarded
 /// anyway: the shard produces the exact error line a single server would.
+/// So does a line naming its instance by `path`: the router never opens
+/// the file, and the shard's refusal is the answer.
 ///
 /// Robustness:
 ///
@@ -77,14 +79,17 @@
 ///    then failing over — and only a mid-stream loss surfaces as a typed
 ///    `{"type":"error","code":"shard-lost"}` line.
 ///  * While a forward is in flight the session watches the client
-///    connection exactly like the server does; a vanished client gets its
-///    shard connection closed, which propagates the disconnect (and the
-///    in-flight cancellation) to the shard.
+///    connection with the same `net::SessionHost::watch` the server uses;
+///    a vanished client gets its shard connection closed, which
+///    propagates the disconnect (and the in-flight cancellation) to the
+///    shard.
 ///
-/// Shutdown mirrors the server: `shutdown()` (wired to SIGINT/SIGTERM by
-/// `install_signal_handlers`) stops accepting, half-closes sessions, lets
-/// in-flight forwards finish, then — spawn mode — SIGTERMs the shards and
-/// reaps them: requests drain first, shards second.
+/// The router is a per-connection handler on a `net::SessionHost`, like
+/// the server, so shutdown works the same way: `shutdown()` (wired to
+/// SIGINT/SIGTERM by `install_signal_handlers`) stops accepting,
+/// half-closes sessions and lets in-flight forwards finish and flush. Then
+/// the health loop stops and, in spawn mode, the shards get SIGTERM and
+/// are reaped: requests drain first, shards second.
 
 #include <atomic>
 #include <chrono>
@@ -92,6 +97,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <sys/types.h>
 #include <thread>
@@ -99,6 +105,7 @@
 
 #include "io/json.hpp"
 #include "net/fault.hpp"
+#include "net/session_host.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/fdio.hpp"
@@ -226,7 +233,7 @@ class Router {
   /// last call wins) and ignores SIGPIPE.
   static void install_signal_handlers(Router& router);
 
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] std::uint16_t port() const noexcept { return host_.port(); }
   [[nodiscard]] std::size_t shard_count() const noexcept;
   [[nodiscard]] std::vector<ShardInfo> shard_infos() const;
 
@@ -282,29 +289,24 @@ class Router {
     std::unique_ptr<util::FdLineReader> reader;
   };
 
-  /// One client connection's state.
-  struct Session {
-    int fd = -1;
-    std::atomic<bool> done{false};
-    std::thread thread;
-    std::vector<ShardConn> conns;  ///< one slot per shard, lazily opened
-  };
-
   enum class Admit { Ok, Overloaded, Unavailable, ClientGone, Expired,
                      Exhausted };
   enum class Relay { Done, ClientGone };
 
-  void session_loop(Session* session);
+  /// One client connection; `conns` holds its shard connections, one
+  /// slot per shard, opened lazily and closed when the session ends.
+  void session_loop(int client);
   /// Handles one client line: router-level answers or `forward_line`.
-  Relay handle_line(const std::string& line, Session& session,
-                    bool input_buffered);
+  Relay handle_line(const std::string& line, int client,
+                    std::vector<ShardConn>& conns, bool input_buffered);
   /// Forwards one line to its sticky shard and relays the response
   /// stream; implements the RetryPolicy-budgeted retry/failover scan,
   /// deadline-aware admission and shedding. `deadline_ms` is the parsed
   /// wire field (0 = none), measured from `arrival`.
   Relay forward_line(const std::string& line, const std::string& id,
-                     bool streamed, std::size_t key_hash, Session& session,
-                     bool input_buffered, std::uint64_t deadline_ms,
+                     bool streamed, std::size_t key_hash, int client,
+                     std::vector<ShardConn>& conns, bool input_buffered,
+                     std::uint64_t deadline_ms,
                      const util::Stopwatch& arrival);
   /// Sticky slot acquisition under backpressure (see file comment); while
   /// waiting it keeps the client-disconnect watch (`watching`) and the
@@ -325,9 +327,18 @@ class Router {
   /// Graded breaker inputs (request-path failures, probe outcomes).
   void record_failure(std::size_t shard_index);
   void record_success(std::size_t shard_index);
-  bool ensure_conn(Session& session, std::size_t shard_index);
+  bool ensure_conn(ShardConn& conn, std::size_t shard_index);
   /// Front-session write honoring the fault hooks.
   bool send_front(int fd, std::string line) const;
+  /// One `{"type":"<type>"}` round trip on a fresh probe connection
+  /// (connect and IO bounded by `probe_timeout`, no fault hooks): the
+  /// shard's answer line when it arrived whole and typed `type`.
+  std::optional<std::string> ask_shard(const std::string& host,
+                                       std::uint16_t port,
+                                       const std::string& type) const;
+  /// `ask_shard` on every healthy shard of `fleet`; the answers in order.
+  std::vector<std::string> fan_out(const std::vector<ShardInfo>& fleet,
+                                   const std::string& type) const;
   /// `{"type":"stats"}`: fan out, merge, answer.
   void answer_stats(const std::string& id, int out_fd);
   /// `{"type":"metrics"}`: fan out, bucket-wise merge with the router's
@@ -343,14 +354,9 @@ class Router {
   void spawn_shard(std::size_t shard_index);
   void stop_health_thread();
   void terminate_children();
-  void reap_sessions(bool all);
 
   RouterOptions options_;
   std::chrono::steady_clock::time_point started_;
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
-  std::atomic<bool> stopping_{false};
 
   std::vector<std::unique_ptr<Shard>> shards_;
   mutable std::mutex state_mutex_;
@@ -360,9 +366,6 @@ class Router {
   std::mutex health_mutex_;
   std::condition_variable health_wake_;
   bool health_stop_ = false;
-
-  std::mutex sessions_mutex_;
-  std::vector<std::unique_ptr<Session>> sessions_;
 
   obs::MetricsRegistry metrics_;
   std::unique_ptr<obs::TraceLog> trace_log_;  ///< null = tracing off
@@ -376,6 +379,10 @@ class Router {
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> restarts_{0};
   std::atomic<std::uint64_t> shard_lost_errors_{0};
+
+  /// Listener, session threads, drain and client watch. Declared last: it
+  /// is destroyed first, so no session outlives the state it uses.
+  net::SessionHost host_;
 };
 
 }  // namespace pipeopt::router

@@ -1,24 +1,17 @@
 #include "server/server.hpp"
 
-#include <csignal>
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <future>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
 #include "io/json.hpp"
 #include "io/request_io.hpp"
 #include "io/result_io.hpp"
-#include "net/socket.hpp"
 #include "util/cancel.hpp"
 #include "util/fdio.hpp"
 #include "util/timing.hpp"
@@ -27,28 +20,6 @@ namespace pipeopt::server {
 
 namespace {
 
-/// How often an in-flight solve's session polls for client disconnect.
-constexpr auto kWatchInterval = std::chrono::milliseconds(10);
-
-#ifdef POLLRDHUP
-constexpr short kHupEvents = POLLRDHUP | POLLHUP | POLLERR;
-#else
-constexpr short kHupEvents = POLLHUP | POLLERR;
-#endif
-
-/// The signal-handler target of install_signal_handlers: handlers may only
-/// touch async-signal-safe state, so they write one byte into the server's
-/// wake pipe and let the poll loop do the actual shutdown.
-std::atomic<int> g_signal_wake_fd{-1};
-
-void signal_to_pipe(int) {
-  const int fd = g_signal_wake_fd.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
-  }
-}
-
 using util::FdLineReader;
 using util::write_line;
 
@@ -56,19 +27,12 @@ std::string error_line(const std::string& id, const std::string& message) {
   return io::format_error(message, id);
 }
 
-/// Best-effort id extraction so even a semantically broken request gets
-/// its error echoed back under the right tag.
-std::string peek_id(const io::JsonFields& fields) {
-  for (const auto& [key, value] : fields) {
-    if (key == "id") return value;
-  }
-  return {};
-}
-
-/// The optional wire trace id ("" when the request is untraced).
-std::string peek_trace(const io::JsonFields& fields) {
-  for (const auto& [key, value] : fields) {
-    if (key == "trace") return value;
+/// The first value of `key`, "" when absent: best-effort, so even a
+/// semantically broken request gets its error echoed under its `id`, and
+/// an untraced one has an empty `trace`.
+std::string peek(const io::JsonFields& fields, const std::string& key) {
+  for (const auto& [k, value] : fields) {
+    if (k == key) return value;
   }
   return {};
 }
@@ -79,135 +43,42 @@ Server::Server(ServerOptions options)
     : options_(std::move(options)),
       executor_(api::ExecutorOptions{.jobs = options_.jobs,
                                      .cache_entries = options_.cache_entries}),
-      started_(std::chrono::steady_clock::now()) {
+      fault_(net::make_fault_injector("pipeopt-server", options_.fault_spec)),
+      started_(std::chrono::steady_clock::now()),
+      host_("pipeopt-server", fault_.get(), [this](int fd) {
+        stats_.record_connection();
+        session_loop(fd, fd, /*is_socket=*/true);
+      }) {
   // Stats snapshots include the cache counters iff the cache exists, so a
   // cache-disabled server's stats line keeps its exact historical bytes.
   stats_.attach_cache(executor_.cache());
   if (!options_.trace_log.empty()) {
     trace_log_ = std::make_unique<obs::TraceLog>(options_.trace_log);
   }
-  if (!options_.fault_spec.empty()) {
-    const auto spec = net::parse_fault_spec(options_.fault_spec);
-    if (!spec) {
-      throw std::runtime_error("pipeopt-server: bad --fault-spec '" +
-                               options_.fault_spec +
-                               "' (want seed:prob:kind[,kind...])");
-    }
-    fault_ = std::make_unique<net::FaultInjector>(*spec);
-    session_hooks_ = &fault_->front_io();
-  }
-  if (::pipe2(wake_pipe_, O_CLOEXEC) != 0) {
-    throw std::runtime_error("pipeopt-server: cannot create wake pipe");
-  }
-}
-
-Server::~Server() {
-  shutdown();
-  reap_sessions(/*all=*/true);
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
+  if (fault_) session_hooks_ = &fault_->front_io();
 }
 
 std::uint16_t Server::listen() {
-  if (listen_fd_ >= 0) return port_;
-  const net::Listener listener = net::listen_tcp(
-      "pipeopt-server", options_.host, options_.port, options_.backlog);
-  listen_fd_ = listener.fd;
-  port_ = listener.port;
-  return port_;
+  return host_.listen(options_.host, options_.port, options_.backlog);
 }
 
 void Server::serve() {
   listen();
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents != 0) break;  // shutdown() or a signal woke us
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int client = net::accept_tcp(listen_fd_);
-    if (client < 0) continue;
-    if (fault_ && fault_->accept_should_close()) {
-      // Injected accept-then-close: the peer sees its connection die
-      // before a byte moves — the request provably never executed, so a
-      // retrying client is always safe.
-      ::close(client);
-      continue;
-    }
-    stats_.record_connection();
-    auto session = std::make_unique<Session>();
-    Session* raw = session.get();
-    raw->fd = client;
-    raw->thread = std::thread([this, client, raw] {
-      session_loop(client, client, /*is_socket=*/true, raw);
-    });
-    {
-      const std::lock_guard<std::mutex> lock(sessions_mutex_);
-      sessions_.push_back(std::move(session));
-    }
-    reap_sessions(/*all=*/false);
-  }
-  // Drain: close the listener so late connects are refused instead of
-  // parked in the backlog, half-close every session so its next read sees
-  // EOF, then wait for the in-flight responses to flush.
-  stopping_.store(true, std::memory_order_relaxed);
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    for (const auto& session : sessions_) {
-      if (session->fd >= 0) ::shutdown(session->fd, SHUT_RD);
-    }
-  }
-  reap_sessions(/*all=*/true);
+  host_.serve();
 }
 
 void Server::serve_stream(int in_fd, int out_fd) {
   stats_.record_connection();
-  session_loop(in_fd, out_fd, /*is_socket=*/false, nullptr);
+  session_loop(in_fd, out_fd, /*is_socket=*/false);
 }
 
-void Server::shutdown() {
-  stopping_.store(true, std::memory_order_relaxed);
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-}
+void Server::shutdown() { host_.shutdown(); }
 
 void Server::install_signal_handlers(Server& server) {
-  g_signal_wake_fd.store(server.wake_pipe_[1], std::memory_order_relaxed);
-  struct sigaction action{};
-  action.sa_handler = signal_to_pipe;
-  ::sigaction(SIGINT, &action, nullptr);
-  ::sigaction(SIGTERM, &action, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);
+  server.host_.install_signal_handlers();
 }
 
-void Server::reap_sessions(bool all) {
-  std::vector<std::unique_ptr<Session>> finished;
-  {
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-      if (all || (*it)->done.load(std::memory_order_acquire)) {
-        finished.push_back(std::move(*it));
-        it = sessions_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (const auto& session : finished) {
-    if (session->thread.joinable()) session->thread.join();
-  }
-}
-
-void Server::session_loop(int in_fd, int out_fd, bool is_socket,
-                          Session* session) {
+void Server::session_loop(int in_fd, int out_fd, bool is_socket) {
   FdLineReader reader(in_fd, session_hooks_);
   std::string line;
   while (reader.next_line(line)) {
@@ -217,17 +88,7 @@ void Server::session_loop(int in_fd, int out_fd, bool is_socket,
     if (is_socket && !reader.last_terminated()) break;
     if (line.empty() || line == "\r") continue;
     handle_line(line, out_fd, in_fd, is_socket, reader.buffered());
-    if (stopping_.load(std::memory_order_relaxed) && is_socket) break;
-  }
-  if (session != nullptr) {
-    // The drain path half-closes fds it reads under the same lock, so the
-    // close (and the -1 that retires the fd) must not race with it.
-    {
-      const std::lock_guard<std::mutex> lock(sessions_mutex_);
-      ::close(session->fd);
-      session->fd = -1;
-    }
-    session->done.store(true, std::memory_order_release);
+    if (host_.stopping() && is_socket) break;
   }
 }
 
@@ -263,7 +124,7 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
     send_line(out_fd, error_line("", e.what()));
     return;
   }
-  const std::string id = peek_id(fields);
+  const std::string id = peek(fields, "id");
 
   std::string type = "solve";
   for (const auto& [key, value] : fields) {
@@ -316,6 +177,14 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
     send_line(out_fd, std::move(out).str());
     return;
   }
+  if (is_socket && (type == "solve" || type == "pareto") &&
+      io::names_a_path(fields)) {
+    // A network client never makes the server open one of its files.
+    stats_.record_error();
+    send_line(out_fd, error_line(id, "\"path\" is refused over the network; "
+                                     "send the instance inline as \"problem\""));
+    return;
+  }
   if (type == "pareto") {
     std::optional<io::WireParetoRequest> wire;
     try {
@@ -343,7 +212,7 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
     // Everything up to the dispatch was parsing/validation; sweep point
     // requests inherit the context, so their cache_lookup/queue_wait/
     // bind/solve spans aggregate into this one trace.
-    obs::TraceContext trace(peek_trace(fields), &metrics_);
+    obs::TraceContext trace(peek(fields, "trace"), &metrics_);
     trace.record("parse", request_watch.elapsed_micros());
     wire->request.base.trace = &trace;
     stats_.record_sweep();
@@ -404,7 +273,7 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
   wire->request.cancel = source.token();
   // The context lives on this session stack until the future resolves —
   // exactly the lifetime request.hpp's trace contract requires.
-  obs::TraceContext trace(peek_trace(fields), &metrics_);
+  obs::TraceContext trace(peek(fields, "trace"), &metrics_);
   trace.record("parse", request_watch.elapsed_micros());
   wire->request.trace = &trace;
   stats_.record_dispatch();
@@ -429,7 +298,7 @@ void Server::handle_line(const std::string& line, int out_fd, int watch_fd,
   if (trace_log_) trace_log_->write(trace, "solve", id, total_us);
 }
 
-bool Server::await_with_watch(
+void Server::await_with_watch(
     const std::function<bool(std::chrono::milliseconds)>& ready,
     util::CancelSource& source, int watch_fd, bool watching) {
   // While the work is in flight, watch the connection. The watch only
@@ -438,38 +307,23 @@ bool Server::await_with_watch(
   // write side open until the answers arrive), whereas in --stdio mode
   // EOF on stdin merely ends the request stream while the stdout reader
   // is usually still there. Pipelined input means the client is
-  // demonstrably alive (and the probe would misread the buffered bytes),
+  // demonstrably alive (and the watch would misread the buffered bytes),
   // so the watch only runs on an idle connection.
-  bool cancelled_by_disconnect = false;
-  for (;;) {
-    if (ready(kWatchInterval)) return cancelled_by_disconnect;
-    if (!watching || cancelled_by_disconnect ||
-        stopping_.load(std::memory_order_relaxed)) {
-      continue;  // graceful drain: let the work finish, never cancel it
-    }
-    pollfd probe{watch_fd, static_cast<short>(POLLIN | kHupEvents), 0};
-    if (::poll(&probe, 1, 0) <= 0) continue;
-    bool gone = false;
-    if (probe.revents & POLLIN) {
-      char byte;
-      const ssize_t n = ::recv(watch_fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
-      if (n == 0) {
-        gone = true;  // orderly EOF: the client hung up on its response
-      } else if (n > 0) {
+  while (!ready(net::kWatchInterval)) {
+    if (!watching) continue;
+    switch (host_.watch(watch_fd)) {
+      case net::Peer::Idle:
+        break;
+      case net::Peer::Busy:
         watching = false;  // a pipelined request arrived: alive
-        continue;
-      } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-        gone = true;  // reset under us
-      }
-    } else if (probe.revents & kHupEvents) {
-      gone = true;
-    }
-    if (gone && !stopping_.load(std::memory_order_relaxed)) {
-      source.request_cancel();
-      cancelled_by_disconnect = true;
-      stats_.record_disconnect_cancel();
-      // Keep waiting: the worker returns a typed cancelled result, which
-      // record_result counts even though the client will never read it.
+        break;
+      case net::Peer::Gone:
+        source.request_cancel();
+        watching = false;
+        stats_.record_disconnect_cancel();
+        // Keep waiting: the worker returns a typed cancelled result, which
+        // record_result counts even though the client will never read it.
+        break;
     }
   }
 }

@@ -8,8 +8,10 @@
 /// dialect). Request lines:
 ///
 ///  * `{"type":"solve", ...}` — a request_io.hpp solve request (instance
-///    inline or by path). Answered with one result_io.hpp
-///    `{"type":"result", ...}` line; the optional `id` is echoed back.
+///    inline; by `path` only in --stdio mode, a TCP session answers such
+///    a line with an error and opens no file). Answered with one
+///    result_io.hpp `{"type":"result", ...}` line; the optional `id` is
+///    echoed back.
 ///  * `{"type":"pareto", ...}` — a Pareto-front sweep (api/sweep.hpp over
 ///    the wire). Answered with one `{"type":"result", ...}` line *per
 ///    front point* (each carrying its producing `bound`), streamed in
@@ -50,24 +52,23 @@
 /// watch: EOF on stdin only ends the request stream, and everything
 /// already read is still solved and flushed to stdout.
 ///
-/// Shutdown: `shutdown()` (also wired to SIGINT/SIGTERM by
+/// Connections, session threads, the watch and shutdown belong to the
+/// `net::SessionHost` the server runs on; the server is its per-connection
+/// handler. Shutdown: `shutdown()` (also wired to SIGINT/SIGTERM by
 /// `install_signal_handlers`) stops accepting, half-closes every session
 /// so no further requests are read, lets in-flight solves finish and their
 /// responses flush, then `serve()` returns — the executor pool drains, no
 /// future is abandoned.
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "api/executor.hpp"
 #include "net/fault.hpp"
+#include "net/session_host.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "server/stats.hpp"
@@ -109,8 +110,6 @@ struct ServerOptions {
 class Server {
  public:
   explicit Server(ServerOptions options = {});
-  /// Joins the accept loop if still running (via shutdown) and the pool.
-  ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -139,7 +138,7 @@ class Server {
   /// vanishes mid-response surfaces as a write error, not a process kill.
   static void install_signal_handlers(Server& server);
 
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] std::uint16_t port() const noexcept { return host_.port(); }
   [[nodiscard]] const ServerStats& stats() const noexcept { return stats_; }
   [[nodiscard]] api::Executor& executor() noexcept { return executor_; }
   /// The server's metric registry — what `{"type":"metrics"}` snapshots.
@@ -151,15 +150,9 @@ class Server {
   }
 
  private:
-  struct Session {
-    int fd = -1;
-    std::atomic<bool> done{false};
-    std::thread thread;
-  };
-
   /// One connection's read-dispatch-respond loop. `is_socket` enables the
   /// disconnect watch (TCP sessions only; see the file comment).
-  void session_loop(int in_fd, int out_fd, bool is_socket, Session* session);
+  void session_loop(int in_fd, int out_fd, bool is_socket);
 
   /// Handles one request line. Every request type answers with exactly one
   /// response line except `pareto`, which streams one line per front point
@@ -171,13 +164,10 @@ class Server {
   /// watching the client connection meanwhile (`watching`: TCP sessions
   /// with no pipelined input only): a client that disconnects has `source`
   /// fired, and the wait continues until the worker's typed cancelled
-  /// result lands. Returns true when the watch cancelled.
-  bool await_with_watch(
+  /// result lands.
+  void await_with_watch(
       const std::function<bool(std::chrono::milliseconds)>& ready,
       util::CancelSource& source, int watch_fd, bool watching);
-
-  /// Joins sessions that have finished (`done` set); `all` joins the rest.
-  void reap_sessions(bool all);
 
   /// Records one finished solve into the metric registry: the per-solver
   /// latency histogram (`solver.<name>.latency`, from the result's solve
@@ -197,12 +187,9 @@ class Server {
   const util::IoHooks* session_hooks_ = nullptr;  ///< fault_'s front_io()
   /// Construction time — the zero point of the health response's uptime.
   std::chrono::steady_clock::time_point started_;
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};  ///< shutdown/signal wakeup for the poll loop
-  std::atomic<bool> stopping_{false};
-  std::mutex sessions_mutex_;
-  std::vector<std::unique_ptr<Session>> sessions_;
+  /// Listener, session threads, drain and disconnect watch. Declared last:
+  /// it is destroyed first, so no session outlives the state it uses.
+  net::SessionHost host_;
 };
 
 }  // namespace pipeopt::server

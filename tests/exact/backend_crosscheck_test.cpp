@@ -4,11 +4,10 @@
 /// Every registered exact backend is driven over the full Table 1/2 grid
 /// (tests/support/grid_fixtures.hpp) and over >= 200 seeded random
 /// instances, and every backend pair must agree: identical feasibility
-/// verdicts, bit-identical optimal objective values (for bit-exact
-/// backends; tolerance otherwise), and mappings that re-evaluate — through
-/// scalar `core::evaluate` AND `core::BatchEvaluator` — to exactly the
-/// reported value while satisfying the request's constraints under the
-/// exact predicate. Because branch-and-bound/enumeration (recursive
+/// verdicts, bit-identical optimal objective values, and mappings that
+/// re-evaluate — through scalar `core::evaluate` AND `core::BatchEvaluator`
+/// — to exactly the reported value while satisfying the request's
+/// constraints under the exact predicate. Because branch-and-bound/enumeration (recursive
 /// search) and mip-branch-cut (LP branch-and-cut) share no search code,
 /// agreement here is evidence about the *model*, not about one
 /// implementation agreeing with itself.
@@ -84,9 +83,7 @@ void crosscheck_cell(const core::Problem& problem,
     const core::Metrics& batch = evaluator.evaluate(r.mapping);
     EXPECT_EQ(objective_value(request.objective, scalar),
               objective_value(request.objective, batch));
-    if (o.backend->info().bit_exact) {
-      EXPECT_EQ(r.value, objective_value(request.objective, scalar));
-    }
+    EXPECT_EQ(r.value, objective_value(request.objective, scalar));
     EXPECT_TRUE(request.constraints.satisfied_by(scalar));
   }
 
@@ -99,12 +96,7 @@ void crosscheck_cell(const core::Problem& problem,
                    b.backend->info().name);
       ASSERT_EQ(a.result.has_value(), b.result.has_value());
       if (!a.result) continue;
-      if (a.backend->info().bit_exact && b.backend->info().bit_exact) {
-        EXPECT_EQ(a.result->value, b.result->value);  // bit-identical
-      } else {
-        EXPECT_NEAR(a.result->value, b.result->value,
-                    1e-6 * (1.0 + a.result->value));
-      }
+      EXPECT_EQ(a.result->value, b.result->value);  // bit-identical
     }
   }
 }
@@ -220,12 +212,10 @@ TEST(BackendCrosscheck, RegistryForcesEveryBackendByName) {
     ASSERT_EQ(result.status, api::SolveStatus::Optimal)
         << backend->info().name;
     EXPECT_EQ(result.solver, backend->info().name);
-    if (backend->info().bit_exact) {
-      if (reference) {
-        EXPECT_EQ(result.value, *reference) << backend->info().name;
-      } else {
-        reference = result.value;
-      }
+    if (reference) {
+      EXPECT_EQ(result.value, *reference) << backend->info().name;
+    } else {
+      reference = result.value;
     }
   }
   ASSERT_TRUE(reference.has_value());

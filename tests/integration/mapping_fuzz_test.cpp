@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -178,7 +177,7 @@ void expect_reevaluates(const core::Problem& problem,
 class PropertyFuzz : public ::testing::TestWithParam<int> {};
 
 /// Property 1: every exact backend that supports the request reports the
-/// same feasibility verdict and, for bit-exact backends, the same optimum.
+/// same feasibility verdict and the bit-identical optimum.
 TEST_P(PropertyFuzz, ExactBackendsAgree) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const core::Problem problem = property_instance(seed);
@@ -199,13 +198,7 @@ TEST_P(PropertyFuzz, ExactBackendsAgree) {
       continue;
     }
     ASSERT_TRUE(outcome.has_value()) << backend->info().name;
-    if (backend->info().bit_exact) {
-      EXPECT_EQ(outcome->value, *reference) << backend->info().name;
-    } else {
-      EXPECT_NEAR(outcome->value, *reference,
-                  1e-5 * (1.0 + std::abs(*reference)))
-          << backend->info().name;
-    }
+    EXPECT_EQ(outcome->value, *reference) << backend->info().name;
   }
   ASSERT_TRUE(reference.has_value());  // enumeration supports everything
 }

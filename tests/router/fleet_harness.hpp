@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -71,14 +70,7 @@ class TestFleet {
   std::unique_ptr<TestRouter> router_;
 };
 
-/// First value for `key` in a parsed JSONL line; nullopt when absent.
-inline std::optional<std::string> value_of(const io::JsonFields& fields,
-                                           const std::string& key) {
-  for (const auto& [k, v] : fields) {
-    if (k == key) return v;
-  }
-  return std::nullopt;
-}
+using testing_wire::value_of;
 
 inline bool has_key(const io::JsonFields& fields, const std::string& key) {
   for (const auto& [k, v] : fields) {

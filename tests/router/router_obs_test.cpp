@@ -30,24 +30,10 @@ namespace {
 using server::ServerOptions;
 using testing_fleet::TestRouter;
 using testing_fleet::has_key;
+using testing_wire::TempPath;
 using testing_wire::TestServer;
 using testing_wire::WireClient;
 using testing_wire::table_grid;
-
-class TempPath {
- public:
-  TempPath() {
-    char name[] = "/tmp/pipeopt_router_obs_XXXXXX";
-    const int fd = ::mkstemp(name);
-    if (fd >= 0) ::close(fd);
-    path_ = name;
-  }
-  ~TempPath() { std::remove(path_.c_str()); }
-  const std::string& str() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 /// First value for `key`, "" when absent (these assertions never need to
 /// tell the two apart).

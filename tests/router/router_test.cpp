@@ -4,8 +4,9 @@
 /// `api::sweep`), sticky key-hash routing keeps per-shard solve caches
 /// coherent across replays, `{"type":"stats"}` merges the fleet's counters
 /// under the router-level fields, saturation sheds typed
-/// `code:"overloaded"` errors, and a dead shard fails over without losing
-/// admitted requests.
+/// `code:"overloaded"` errors, a dead shard fails over without losing
+/// admitted requests, a drain lets in-flight requests finish, a vanished
+/// client cancels its shard-side solve, and `path` lines are refused.
 
 #include "router/router.hpp"
 
@@ -45,6 +46,13 @@ using testing_wire::comparable;
 using testing_wire::needle_instance;
 using testing_wire::needle_request;
 using testing_wire::table_grid;
+
+bool any_admitted(const Router& router) {
+  for (const ShardInfo& info : router.shard_infos()) {
+    if (info.in_flight >= 1) return true;
+  }
+  return false;
+}
 
 TEST(Router, ResponsesBitIdenticalToPerCallSolveOverTheGrid) {
   TestFleet fleet(3);
@@ -465,6 +473,49 @@ TEST(Router, GracefulShutdownDrainsSessions) {
     late.send_line(R"({"type":"ping"})");
     EXPECT_FALSE(late.recv_line().has_value());
   }
+}
+
+TEST(Router, ShutdownMidRequestStillDeliversTheResponse) {
+  // The drain half-closes the client session. Read as the client leaving,
+  // that would close the shard connection and drop the request; in-flight
+  // requests finish instead, and the shard never sees a disconnect.
+  TestFleet fleet(1);
+  testing_wire::expect_drain_delivers_in_flight_result(
+      fleet.port(), [&fleet] { return any_admitted(fleet.router()); },
+      [&fleet] { fleet.router().shutdown(); });
+  EXPECT_EQ(fleet.shard(0).server().stats().disconnect_cancels(), 0u);
+}
+
+TEST(Router, ClientDisconnectCancelsTheShardSolve) {
+  TestFleet fleet(1);
+  auto client = std::make_unique<WireClient>(fleet.port());
+  ASSERT_TRUE(client->connected());
+  client->send_line(
+      io::format_solve_request(needle_instance(), needle_request()));
+  const auto admit_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!any_admitted(fleet.router()) &&
+         std::chrono::steady_clock::now() < admit_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(any_admitted(fleet.router()));
+
+  // The router's watch sees the client go and closes its shard
+  // connection; the shard's own watch then cancels the needle.
+  client.reset();
+  const server::ServerStats& stats = fleet.shard(0).server().stats();
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while ((stats.disconnect_cancels() < 1 || stats.cancelled() < 1) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(stats.disconnect_cancels(), 1u);
+  EXPECT_EQ(stats.cancelled(), 1u);
+}
+
+TEST(Router, PathIsRefusedOverTcpWithoutReadingTheFile) {
+  TestFleet fleet(2);
+  testing_wire::expect_path_refused(fleet.port());
 }
 
 }  // namespace

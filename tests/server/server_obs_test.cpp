@@ -22,6 +22,7 @@
 namespace pipeopt {
 namespace {
 
+using testing_wire::TempPath;
 using testing_wire::TestServer;
 using testing_wire::WireClient;
 using testing_wire::comparable;
@@ -39,21 +40,6 @@ bool has_key(const io::JsonFields& fields, const std::string& key) {
   }
   return false;
 }
-
-class TempPath {
- public:
-  TempPath() {
-    char name[] = "/tmp/pipeopt_server_obs_XXXXXX";
-    const int fd = ::mkstemp(name);
-    if (fd >= 0) ::close(fd);
-    path_ = name;
-  }
-  ~TempPath() { std::remove(path_.c_str()); }
-  const std::string& str() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 /// Splices the optional transport-level trace field into a request line,
 /// the way the router does for forwarded lines.

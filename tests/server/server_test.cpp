@@ -541,6 +541,22 @@ TEST(Server, GracefulShutdownDrainsAndStopsAccepting) {
   }
 }
 
+TEST(Server, ShutdownMidRequestStillDeliversTheResponse) {
+  // The drain half-closes the session; the watch must not read that as
+  // the client leaving, so the solve runs to its deadline and flushes.
+  TestServer harness;
+  testing_wire::expect_drain_delivers_in_flight_result(
+      harness.port(),
+      [&harness] { return harness.server().executor().pending() >= 1; },
+      [&harness] { harness.server().shutdown(); });
+  EXPECT_EQ(harness.server().stats().disconnect_cancels(), 0u);
+}
+
+TEST(Server, PathIsRefusedOverTcpWithoutReadingTheFile) {
+  TestServer harness;
+  testing_wire::expect_path_refused(harness.port());
+}
+
 TEST(Server, StdioEofDoesNotCancelTheInFlightSolve) {
   // The one-shot pipe idiom: `printf <request> | pipeopt serve --stdio`.
   // The writer closes stdin immediately, but the stdout reader is still

@@ -1,9 +1,10 @@
 /// Shared wire-level test harness: an in-process listening server on a
 /// background thread, a minimal blocking JSONL client, the Table 1/2
-/// problem grid, and the PR 2 "needle" instance (a deterministically long
-/// branch-and-bound search for cancellation/saturation tests). Used by the
-/// server suite and the router suite — both speak the same protocol, so
-/// they share one harness.
+/// problem grid, the "needle" instance (a deterministically long
+/// branch-and-bound search for cancellation/saturation tests), a temp file
+/// and the drain and `path`-refusal checks both tiers must pass. Used by
+/// the server suite and the router suite — both speak the same protocol,
+/// so they share one harness.
 
 #pragma once
 
@@ -14,6 +15,10 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
 #include <optional>
 #include <string>
 #include <thread>
@@ -22,6 +27,8 @@
 
 #include "api/registry.hpp"
 #include "gen/random_instances.hpp"
+#include "io/json.hpp"
+#include "io/request_io.hpp"
 #include "io/result_io.hpp"
 #include "net/socket.hpp"
 #include "server/server.hpp"
@@ -101,7 +108,34 @@ class WireClient {
   util::FdLineReader reader_;
 };
 
-/// The PR 2 needle: a deterministically long branch-and-bound search (see
+/// First value for `key` in a parsed JSONL line; nullopt when absent.
+inline std::optional<std::string> value_of(const io::JsonFields& fields,
+                                           const std::string& key) {
+  for (const auto& [k, v] : fields) {
+    if (k == key) return v;
+  }
+  return std::nullopt;
+}
+
+/// A fresh empty file under /tmp, removed with the object.
+class TempPath {
+ public:
+  TempPath() {
+    char name[] = "/tmp/pipeopt_test_XXXXXX";
+    const int fd = ::mkstemp(name);
+    if (fd >= 0) ::close(fd);
+    path_ = name;
+  }
+  ~TempPath() { std::remove(path_.c_str()); }
+  TempPath(const TempPath&) = delete;
+  TempPath& operator=(const TempPath&) = delete;
+  [[nodiscard]] const std::string& str() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// The needle: a deterministically long branch-and-bound search (see
 /// executor_test.cpp for the calibration guard proving > 10^7 nodes).
 inline core::Problem needle_instance() {
   std::vector<core::StageSpec> cheap(5, {0.01, 0.0});
@@ -139,6 +173,62 @@ inline std::string comparable(const api::SolveResult& result) {
 
 inline std::string comparable(const std::string& wire_line) {
   return comparable(io::parse_result_line(wire_line).result);
+}
+
+/// Sends a needle solve with `deadline_ms` 500 to the listener at `port`,
+/// waits until `admitted()`, calls `shutdown()`, and expects the drain to
+/// deliver the typed deadline result (limit-exceeded, cancelled) rather
+/// than drop the connection.
+inline void expect_drain_delivers_in_flight_result(
+    std::uint16_t port, const std::function<bool()>& admitted,
+    const std::function<void()>& shutdown) {
+  WireClient client(port);
+  ASSERT_TRUE(client.connected());
+  api::SolveRequest request = needle_request();
+  request.deadline_ms = 500;
+  client.send_line(io::format_solve_request(needle_instance(), request, "d1"));
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!admitted() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(admitted());
+  shutdown();
+  const auto response = client.recv_line();
+  ASSERT_TRUE(response.has_value()) << "the drain dropped an in-flight request";
+  const io::WireResult wire = io::parse_result_line(*response);
+  EXPECT_EQ(wire.id, "d1");
+  EXPECT_EQ(wire.result.status, api::SolveStatus::LimitExceeded);
+  bool cancelled = false;
+  for (const auto& [key, value] : wire.result.diagnostics) {
+    cancelled |= key == "cancelled";
+  }
+  EXPECT_TRUE(cancelled);
+}
+
+/// Sends `solve` and `pareto` lines naming a file by `path` to the listener
+/// at `port`. The file's first line is a marker: each reply must be an
+/// error without a `code`, echo the id, and carry none of the file's bytes.
+inline void expect_path_refused(std::uint16_t port) {
+  const TempPath file;
+  const std::string marker = "pipeopt-path-marker-7f3a";
+  std::ofstream(file.str()) << marker << "\n";
+  const std::string path = io::json_quote(file.str());
+  WireClient client(port);
+  ASSERT_TRUE(client.connected());
+  const std::vector<std::pair<std::string, std::string>> lines = {
+      {"p1", R"({"type":"solve","id":"p1","path":)" + path + "}"},
+      {"p2", R"({"type":"pareto","id":"p2","sweep_bounds":"1,2","path":)" +
+                 path + "}"}};
+  for (const auto& [id, line] : lines) {
+    client.send_line(line);
+    const auto reply = client.recv_line();
+    ASSERT_TRUE(reply.has_value()) << line;
+    EXPECT_EQ(reply->find(marker), std::string::npos) << *reply;
+    const io::JsonFields fields = io::parse_flat_json(*reply);
+    EXPECT_EQ(value_of(fields, "type"), "error") << *reply;
+    EXPECT_EQ(value_of(fields, "id"), id) << *reply;
+    EXPECT_EQ(value_of(fields, "code"), std::nullopt) << *reply;
+  }
 }
 
 }  // namespace pipeopt::testing_wire

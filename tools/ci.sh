@@ -1,6 +1,7 @@
 #!/bin/sh
 # CI entry point: a socket lint (no raw socket/connect/accept outside
-# src/net/socket.cpp), the tier-1 verify line (see ROADMAP.md) with warnings
+# src/net/socket.cpp, no MSG_PEEK watch or sigaction outside src/net/),
+# the tier-1 verify line (see ROADMAP.md) with warnings
 # promoted to errors, then the full ctest suite (unit + property tests and
 # the CLI exit-code smoke test, including solve-batch and pareto), then an
 # eval-perf smoke stage (bench_eval_hot_path --quick: SoA batch/delta
@@ -51,6 +52,17 @@ RAW_SOCKETS=$(grep -rnE '::(socket|connect|accept4?)\(' src tools bench tests |
   echo "$RAW_SOCKETS" >&2
   exit 1
 }
+# Session lint: net::SessionHost owns the disconnect watch (MSG_PEEK) and
+# the signal routing (sigaction) for both tiers; a copy in a tier is how
+# the two drifted apart before.
+SESSION_COPIES=$(grep -rnE --include='*.[ch]pp' 'MSG_PEEK|sigaction\(' \
+    src tools bench tests |
+    grep -v '^src/net/' || true)
+[ -z "$SESSION_COPIES" ] || {
+  echo "ci: session watch or signal code outside src/net/:" >&2
+  echo "$SESSION_COPIES" >&2
+  exit 1
+}
 
 cmake -B "$BUILD_DIR" -S . -DPIPEOPT_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
@@ -65,11 +77,10 @@ ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" -L crosscheck --output-on-failure -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" -L fuzz --output-on-failure -j "$(nproc)"
 
-# Backend cross-check through the CLI: every exact backend this build
-# carries, forced by name via `solve --solver`, must print the same optimum
-# for one Table 1-shaped instance (an OR-tools build adds ortools-cpsat to
-# the list; the comparison is on the printed shortest-round-trip value, so
-# bit-exact backends must collide exactly).
+# Backend cross-check through the CLI: every exact backend, forced by name
+# via `solve --solver`, must print the same optimum for one Table 1-shaped
+# instance (the comparison is on the printed shortest-round-trip value, so
+# the bit-exact backends must collide exactly).
 CROSS_DIR=$(mktemp -d "${TMPDIR:-/tmp}/pipeopt_crosscheck.XXXXXX")
 trap 'rm -rf "$CROSS_DIR"' EXIT
 cat > "$CROSS_DIR/cell.txt" <<'PROB'
@@ -82,9 +93,6 @@ app A weight=1 input=1 stages=3:3,2:2,1:0
 app B weight=2 input=0 stages=4:1
 PROB
 BACKENDS="branch-and-bound exact-enumeration mip-branch-cut"
-if "$BUILD_DIR/pipeopt" "$CROSS_DIR/cell.txt" list-solvers | grep -q ortools-cpsat; then
-  BACKENDS="$BACKENDS ortools-cpsat"
-fi
 REFERENCE=""
 for BACKEND in $BACKENDS; do
   VALUE=$("$BUILD_DIR/pipeopt" "$CROSS_DIR/cell.txt" solve --objective period \
@@ -552,7 +560,7 @@ if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=thread -x c++ - -o "${TMPDIR:-
   cmake -B "$BUILD_DIR-tsan" -S . -DPIPEOPT_WERROR=ON -DPIPEOPT_TSAN=ON
   cmake --build "$BUILD_DIR-tsan" -j "$(nproc)" --target pipeopt_tests
   "$BUILD_DIR-tsan/pipeopt_tests" \
-      --gtest_filter='Executor.*:Plan.*:DispatchPlan.*:Server.*:Deadline.*:Cancel.*:Sweep.*:Cache.*:Router.*:StatsMerge.*:EvalBatch.*:*/EvalBatch.*:Obs.*:Metrics.*:*WireFuzz*:Chaos.*:Retry.*:Fault.*:Socket.*:Fdio.*'
+      --gtest_filter='Executor.*:Plan.*:DispatchPlan.*:Server.*:Deadline.*:Cancel.*:Sweep.*:Cache.*:Router.*:StatsMerge.*:EvalBatch.*:*/EvalBatch.*:Obs.*:Metrics.*:*WireFuzz*:Chaos.*:Retry.*:Fault.*:Socket.*:SessionHost.*:Fdio.*'
 else
   echo "ci: ThreadSanitizer unavailable, skipping the tsan pass" >&2
 fi
@@ -560,14 +568,15 @@ fi
 # Address+UB sanitizer pass over the fuzz surfaces: the wire-protocol
 # robustness fuzz (truncations, byte mutations, duplicate/unknown fields)
 # and the solver-property fuzz, where a latent out-of-bounds or UB would
-# hide behind a benign-looking wrong answer. Probed like the tsan pass so
+# hide behind a benign-looking wrong answer; plus the server, router and
+# chaos suites, which drive the session fd and thread lifetimes. Probed like the tsan pass so
 # a toolchain without libasan skips loudly instead of failing the merge.
 if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=address,undefined -x c++ - -o "${TMPDIR:-/tmp}/pipeopt_asan_probe.$$" 2>/dev/null; then
   rm -f "${TMPDIR:-/tmp}/pipeopt_asan_probe.$$"
   cmake -B "$BUILD_DIR-asan" -S . -DPIPEOPT_WERROR=ON -DPIPEOPT_ASAN=ON
   cmake --build "$BUILD_DIR-asan" -j "$(nproc)" --target pipeopt_tests
   "$BUILD_DIR-asan/pipeopt_tests" \
-      --gtest_filter='*WireFuzz*:*PropertyFuzz*:*MappingFuzz*:MipLp.*:MipBackend.*'
+      --gtest_filter='*WireFuzz*:*PropertyFuzz*:*MappingFuzz*:MipLp.*:MipBackend.*:Server.*:Router.*:Chaos.*'
 else
   echo "ci: Address/UB sanitizer unavailable, skipping the asan pass" >&2
 fi
